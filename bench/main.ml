@@ -1,6 +1,6 @@
 (* Benchmark driver.
 
-   Usage: main.exe [fig2|fig3|fig4|fig5|fig5-noindex|ablation|micro|obs|mqo|exec|par|serve|ingest|codec|all]
+   Usage: main.exe [fig2|fig3|fig4|fig5|fig5-noindex|ablation|micro|obs|mqo|exec|spill|serve|ingest|codec|all]
                    [--full] [--budget F] [--seed N]
 
    Without --full the table sizes are one tenth of the paper's (the
@@ -90,7 +90,7 @@ let () =
     | "obs" -> Figures.obs options
     | "mqo" -> Mqo_bench.run options
     | "exec" -> Exec_bench.run options
-    | "par" -> Par_bench.run options
+    | "spill" -> Spill_bench.run options
     | "serve" -> Serve_bench.run options
     | "ingest" -> Ingest_bench.run options
     | "codec" -> Codec_bench.run options

@@ -86,8 +86,8 @@ let resolve_catalog data workload flows users scale seed =
 let engine_names =
   [ "auto"; "native"; "native-plain"; "unnest"; "unnest-noidx"; "gmdj"; "gmdj-scan"; "gmdj-opt" ]
 
-(* [config] carries the execution mode (join/GMDJ strategy, domains, spill
-   budget); the native engines do not go through the algebra and ignore it. *)
+(* [config] carries the execution mode (join/GMDJ strategy, spill budget);
+   the native engines do not go through the algebra and ignore it. *)
 let run_engine ~config engine catalog query =
   match engine with
   | "auto" -> Subql.Planner.run ~config catalog query
@@ -112,6 +112,18 @@ let parse_sql sql =
     prerr_endline (Subql_sql.Parser.parse_exn_to_string sql);
     exit 1
 
+(* Static admission check: schema and type errors (an unknown column, a
+   string compared with an int) are reported the way [analyze] prints
+   them instead of escaping as exceptions from evaluation.  Returns
+   [true] when the query may run. *)
+let analysis_passes catalog ~label query =
+  let r = Subql_analysis.Analyze.analyze_query catalog ~label query in
+  if Subql_analysis.Analyze.errors r = 0 then true
+  else begin
+    Format.printf "%a@." Subql_analysis.Analyze.pp_report r;
+    false
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Common options                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -133,28 +145,17 @@ let scale_arg =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Generator seed.")
 
-let default_domains = min (Domain.recommended_domain_count ()) 4
-
-let domains_arg =
-  Arg.(value & opt int default_domains & info [ "domains" ] ~docv:"N"
-         ~doc:"Execute pipeline breakers and GMDJs across $(docv) domains \
-               (default: the machine's recommended count, capped at 4). \
-               1 disables the exchange.")
-
 let spill_budget_arg =
   Arg.(value & opt int 0 & info [ "spill-budget" ] ~docv:"ROWS"
          ~doc:"Cap pipeline-breaker hash state at $(docv) resident rows; the \
                excess is partitioned through temp heap files and merged in a \
                second pass. 0 keeps everything in memory.")
 
-(* Apply the execution-mode flags to a base config.  --spill-budget 0 means
-   "never spill"; Eval gives an explicit budget precedence over the exchange
-   at breakers, so both flags compose. *)
-let exec_config base ~domains ~spill_budget =
+(* Apply --spill-budget to a base config; 0 means "never spill". *)
+let exec_config base ~spill_budget =
   {
     base with
-    Subql.Eval.domains;
-    spill_budget_rows = (if spill_budget <= 0 then None else Some spill_budget);
+    Subql.Eval.spill_budget_rows = (if spill_budget <= 0 then None else Some spill_budget);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -203,12 +204,16 @@ let run_cmd =
   let limit_arg =
     Arg.(value & opt int 50 & info [ "limit" ] ~doc:"Print at most this many rows.")
   in
-  let run data workload flows users scale seed domains spill_budget engine timed analyze
+  let run data workload flows users scale seed spill_budget engine timed analyze
       explain_analyze metrics trace_file limit sql =
     let catalog = resolve_catalog data workload flows users scale seed in
     let stmt = parse_sql sql in
-    Option.iter (fun _ -> Subql_obs.Trace.set_enabled true) trace_file;
     let query = stmt.Subql_sql.Parser.query in
+    if not (analysis_passes catalog ~label:"query" query) then begin
+      Format.eprintf "run: query rejected by static analysis@.";
+      exit 1
+    end;
+    Option.iter (fun _ -> Subql_obs.Trace.set_enabled true) trace_file;
     (* The instrumented paths need an algebra plan; engines that do not go
        through the algebra (the native engines) analyze the optimized GMDJ plan. *)
     let plan_for_analysis () =
@@ -228,7 +233,7 @@ let run_cmd =
         if engine = "gmdj-scan" || engine = "unnest-noidx" then Subql.Eval.unindexed_config
         else Subql.Eval.default_config
       in
-      exec_config base ~domains ~spill_budget
+      exec_config base ~spill_budget
     in
     let t0 = Unix.gettimeofday () in
     let feedback = ref None in
@@ -282,7 +287,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Parse and evaluate a SQL query")
     Term.(
       const run $ data_arg $ workload_arg $ flows_arg $ users_arg $ scale_arg $ seed_arg
-      $ domains_arg $ spill_budget_arg $ engine_arg $ time_arg $ analyze_arg
+      $ spill_budget_arg $ engine_arg $ time_arg $ analyze_arg
       $ explain_analyze_arg $ metrics_arg $ trace_arg $ limit_arg $ sql_arg)
 
 let explain_cmd =
@@ -341,7 +346,14 @@ let batch_cmd =
       |> List.map parse_sql
     in
     if stmts = [] then failwith (Printf.sprintf "no queries in %s" file);
-    let queries = List.map (fun s -> s.Subql_sql.Parser.query) stmts in
+    (* Queries that fail static analysis are reported once and left out;
+       the rest run as one batch and keep their position numbers. *)
+    let admitted =
+      List.mapi (fun i s -> (i, s)) stmts
+      |> List.filter (fun (i, s) ->
+             analysis_passes catalog ~label:(Printf.sprintf "q%d" i) s.Subql_sql.Parser.query)
+    in
+    let queries = List.map (fun (_, s) -> s.Subql_sql.Parser.query) admitted in
     let cache = Subql_mqo.Result_cache.create ~min_cost () in
     for round = 1 to repeat do
       let t0 = Unix.gettimeofday () in
@@ -349,11 +361,11 @@ let batch_cmd =
       let dt = Unix.gettimeofday () -. t0 in
       Format.printf "round %d: %d queries in %.3fs@." round (List.length queries) dt;
       List.iter2
-        (fun stmt (i, result) ->
+        (fun (i, stmt) (_, result) ->
           let result = Subql_sql.Parser.apply_grouping stmt result in
           let result = Subql_sql.Parser.apply_post stmt result in
           Format.printf "  q%d: %d rows@." i (Relation.cardinality result))
-        stmts report.Subql_mqo.Batch.results;
+        admitted report.Subql_mqo.Batch.results;
       Format.printf "  cache: %d hits, %d misses (%d deduplicated in batch); %d entries, %d bytes resident@."
         report.Subql_mqo.Batch.cache_hits report.Subql_mqo.Batch.cache_misses
         report.Subql_mqo.Batch.deduplicated
@@ -364,7 +376,12 @@ let batch_cmd =
       Format.printf "  detail scans: %d (naive baseline: %d)@."
         report.Subql_mqo.Batch.shared_detail_scans
         report.Subql_mqo.Batch.naive_detail_scans
-    done
+    done;
+    let rejected = List.length stmts - List.length admitted in
+    if rejected > 0 then begin
+      Format.eprintf "batch: %d query(ies) rejected by static analysis@." rejected;
+      exit 1
+    end
   in
   Cmd.v
     (Cmd.info "batch"
@@ -394,8 +411,8 @@ let analyze_cmd =
   let certify_arg =
     Arg.(value & flag & info [ "certify" ]
            ~doc:"Run the certificate passes on top of analysis: sound cardinality \
-                 intervals and the certified memory bound, parallel-merge lawfulness \
-                 ($(b,PAR00x)), and delta-maintainability ($(b,ING00x)).")
+                 intervals and the certified memory bound, and delta-maintainability \
+                 ($(b,ING00x)).")
   in
   let domains_arg =
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
@@ -506,7 +523,7 @@ let serve_metrics_arg =
   Arg.(value & flag & info [ "metrics" ]
          ~doc:"On exit, dump the metrics registry (includes the server.* series).")
 
-let server_config window bmax mem_budget qcap ~domains ~spill_budget =
+let server_config window bmax mem_budget qcap ~spill_budget =
   {
     Server.batch_window = window;
     batch_max = bmax;
@@ -515,7 +532,7 @@ let server_config window bmax mem_budget qcap ~domains ~spill_budget =
         Admission.mem_budget_rows = (if mem_budget <= 0. then infinity else mem_budget);
         queue_cap = qcap;
       };
-    eval_config = exec_config Subql.Eval.default_config ~domains ~spill_budget;
+    eval_config = exec_config Subql.Eval.default_config ~spill_budget;
   }
 
 let pp_rejection ppf (r : Admission.rejection) =
@@ -563,10 +580,10 @@ let print_server_summary registry =
       (c "ingest.maintain.restamp")
 
 let serve_cmd =
-  let run data workload flows users scale seed domains spill_budget window bmax mem_budget
-      qcap min_cost metrics =
+  let run data workload flows users scale seed spill_budget window bmax mem_budget qcap
+      min_cost metrics =
     let catalog = resolve_catalog data workload flows users scale seed in
-    let config = server_config window bmax mem_budget qcap ~domains ~spill_budget in
+    let config = server_config window bmax mem_budget qcap ~spill_budget in
     let cache = Subql_mqo.Result_cache.create ~min_cost () in
     let server = Server.create ~config ~cache catalog in
     let now () = Unix.gettimeofday () in
@@ -592,6 +609,9 @@ let serve_cmd =
       match Subql_sql.Parser.parse sql with
       | exception Subql_sql.Parser.Parse_error _ ->
         prerr_endline (Subql_sql.Parser.parse_exn_to_string sql)
+      | stmt when not (analysis_passes catalog ~label:"query" stmt.Subql_sql.Parser.query)
+        ->
+        ()
       | stmt -> (
         match Server.submit server ~now:(now ()) stmt.Subql_sql.Parser.query with
         | Ok _ -> step_due () (* the submit may have size-sealed a batch *)
@@ -649,7 +669,7 @@ let serve_cmd =
              drain on EOF")
     Term.(
       const run $ data_arg $ workload_arg $ flows_arg $ users_arg $ scale_arg $ seed_arg
-      $ domains_arg $ spill_budget_arg $ batch_window_arg $ batch_max_arg $ mem_budget_arg
+      $ spill_budget_arg $ batch_window_arg $ batch_max_arg $ mem_budget_arg
       $ queue_cap_arg $ serve_min_cost_arg $ serve_metrics_arg)
 
 let drive_cmd =
@@ -699,10 +719,10 @@ let drive_cmd =
                  synchronously on every append, lazily before the next query \
                  batch, or never (stale entries drop and queries recompute).")
   in
-  let run outer inner seed domains spill_budget window bmax mem_budget qcap min_cost
-      metrics rate queries skew mode clients think ingest_rate ingest_batch staleness =
+  let run outer inner seed spill_budget window bmax mem_budget qcap min_cost metrics rate
+      queries skew mode clients think ingest_rate ingest_batch staleness =
     let catalog = Subql_workload.Zoo.catalog ~outer ~inner () in
-    let config = server_config window bmax mem_budget qcap ~domains ~spill_budget in
+    let config = server_config window bmax mem_budget qcap ~spill_budget in
     let cache = Subql_mqo.Result_cache.create ~min_cost () in
     let server = Server.create ~config ~cache catalog in
     let tseed = Int64.of_int seed in
@@ -832,7 +852,7 @@ let drive_cmd =
              interleaved with ingest batches — and replay it against the serving \
              loop, printing the latency summary")
     Term.(
-      const run $ outer_arg $ inner_arg $ seed_arg $ domains_arg $ spill_budget_arg
+      const run $ outer_arg $ inner_arg $ seed_arg $ spill_budget_arg
       $ batch_window_arg $ batch_max_arg $ mem_budget_arg $ queue_cap_arg
       $ serve_min_cost_arg $ serve_metrics_arg $ rate_arg $ queries_arg $ skew_arg
       $ mode_arg $ clients_arg $ think_arg $ ingest_rate_arg $ ingest_batch_arg
@@ -971,7 +991,7 @@ let bench_note_cmd =
   let run () =
     print_endline "The figure-reproduction harness lives in a separate executable:";
     print_endline
-      "  dune exec bench/main.exe -- [fig2|fig3|fig4|fig5|fig5-noindex|ablation|micro|obs|mqo|exec|par|serve|ingest|codec|all] [--full]"
+      "  dune exec bench/main.exe -- [fig2|fig3|fig4|fig5|fig5-noindex|ablation|micro|obs|mqo|exec|spill|serve|ingest|codec|all] [--full]"
   in
   Cmd.v (Cmd.info "bench" ~doc:"Where to find the benchmark harness") Term.(const run $ const ())
 

@@ -1,5 +1,5 @@
-(* Scaling the GMDJ: memory-bounded segments, parallel partitions, and
-   cost-based plan choice.
+(* Scaling the GMDJ: memory-bounded segments, distributed partitions,
+   and cost-based plan choice.
 
    The paper notes that the GMDJ "can be computed at a well-defined
    cost" even when the base-values table exceeds memory (segmented
@@ -54,7 +54,7 @@ let () =
     (Relation.cardinality base) (Relation.cardinality detail);
 
   let t_whole, whole = time (fun () -> Gmdj.eval ~base ~detail blocks) in
-  Format.printf "single scan, one domain:        %6.3fs@." t_whole;
+  Format.printf "single scan:                    %6.3fs@." t_whole;
 
   List.iter
     (fun segment_size ->
@@ -63,22 +63,6 @@ let () =
       Format.printf "segmented (%4d users/segment): %6.3fs  (%d detail scans)@." segment_size t
         ((Relation.cardinality base + segment_size - 1) / segment_size))
     [ 500; 1000 ];
-
-  let cores = Domain.recommended_domain_count () in
-  let domain_counts =
-    List.sort_uniq compare (List.filter (fun d -> d <= max 2 cores) [ 2; 4; 8 ])
-  in
-  if cores = 1 then
-    Format.printf
-      "(this machine reports a single core; partitioned evaluation is verified for@.\
-      \ correctness but cannot speed up here)@.";
-  List.iter
-    (fun domains ->
-      let t, par = time (fun () -> Gmdj.eval_partitioned ~domains ~base ~detail blocks) in
-      assert (Relation.equal_as_multiset whole par);
-      Format.printf "partitioned over %d domains:    %6.3fs  (speedup %.2fx on %d cores)@."
-        domains t (t_whole /. t) cores)
-    domain_counts;
 
   Format.printf "@.Distributed warehouse: the same analysis over %d sites@."
     4;

@@ -69,18 +69,17 @@ let certify ?flags ?(config = Eval.default_config) catalog ~label query =
   | Some plan ->
     let stats = Cost.Stats.of_catalog catalog in
     let ivl = Interval.certify ~config stats plan in
-    let par = Mergeable.certify plan in
     let ing = (Deltaable.analyze plan).Deltaable.diags in
     {
       report;
       certificate = Some ivl.Interval.certificate;
-      analysis = Diag.sort (ivl.Interval.diags @ par @ ing);
+      analysis = Diag.sort (ivl.Interval.diags @ ing);
     }
 
 let certified_errors c = errors c.report + Diag.count Diag.Error c.analysis
 
 (* Fan the templates across worker domains, one [Diag.Scratch] buffer
-   per worker (the [Metrics.Scratch] pattern): workers race, but the
+   per worker so workers never share mutable state: they race, but the
    per-template results reassemble by input index and the combined
    stream merges through the total diagnostic order, so the output is
    byte-stable whatever the scheduler did. *)

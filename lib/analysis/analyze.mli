@@ -37,10 +37,9 @@ val warnings : report -> int
 
 (** {1 Certification}
 
-    [certify] runs {!analyze_query} and then the three certificate
+    [certify] runs {!analyze_query} and then the two certificate
     passes over the optimized plan: {!Interval.certify} (sound
-    cardinality intervals and the certified memory ceiling),
-    {!Mergeable.certify} (parallel-merge lawfulness, [PAR0xx]) and
+    cardinality intervals and the certified memory ceiling) and
     {!Deltaable.analyze} (delta-maintainability, [ING00x]).  This is
     the engine behind [analyze --certify] and the zoo gate in
     [scripts/check.sh]. *)
@@ -49,7 +48,7 @@ type certified = {
   report : report;
   certificate : Subql.Cost.certificate option;
       (** [None] iff the report has no plan (fatal analysis error) *)
-  analysis : Diag.t list;  (** the IVL/PAR/ING diagnostics, sorted *)
+  analysis : Diag.t list;  (** the IVL/ING diagnostics, sorted *)
 }
 
 val certify :

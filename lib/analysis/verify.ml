@@ -74,10 +74,8 @@ let plan_verifier catalog query ~label plan =
 
 let install_planner_gate () =
   Planner.set_plan_verifier plan_verifier;
-  Planner.set_merge_certifier (fun plan -> Mergeable.certify plan);
   Planner.set_self_check true
 
 let clear_planner_gate () =
   Planner.clear_plan_verifier ();
-  Planner.clear_merge_certifier ();
   Planner.set_self_check false

@@ -49,9 +49,6 @@ val plan_verifier : Subql.Planner.plan_verifier
 val install_planner_gate : unit -> unit
 (** [Planner.set_plan_verifier plan_verifier] + enable the planner
     self-check ({!Subql.Planner.candidates} will drop unsound
-    candidates), and register {!Mergeable.certify} as the planner's
-    merge certifier, so [parallel_config] refuses [domains > 1] for
-    plans whose aggregate merges are not commutative monoids
-    ([PAR0xx]). *)
+    candidates). *)
 
 val clear_planner_gate : unit -> unit

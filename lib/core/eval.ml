@@ -216,50 +216,16 @@ let spill_outcome ctx (o : Subql_storage.Spill.outcome) =
 
 (* DISTINCT / GROUP BY under the configured execution mode: spilling
    when a budget is set (resident hash state freezes at the budget,
-   overflow goes through temp heap files), exchange-parallel when
-   [domains > 1] (rows are hash-partitioned on the breaker key, so the
-   per-domain states are key-disjoint and their results concatenate),
-   serial streaming otherwise. *)
+   overflow goes through temp heap files), streaming otherwise. *)
 let run_distinct ctx src =
   match ctx.config.spill_budget_rows with
   | Some budget -> spill_outcome ctx (Subql_storage.Spill.distinct ~budget src)
-  | None ->
-    if ctx.config.domains > 1 then begin
-      let schema = Chunk.Source.schema src in
-      let rows =
-        Chunk.Exchange.fold ~domains:ctx.config.domains ~partition:Tuple.hash
-          ~init:(fun _ -> Ops.Distinct_acc.create ())
-          ~fold:(fun acc c ->
-            Chunk.iter (fun row -> ignore (Ops.Distinct_acc.add acc row)) c;
-            acc)
-          ~finish:Ops.Distinct_acc.rows src
-      in
-      Relation.create ~check:false schema (Array.concat rows)
-    end
-    else Ops.distinct_source src
+  | None -> Ops.distinct_source src
 
 let run_group_by ctx ~keys ~aggs src =
   match ctx.config.spill_budget_rows with
   | Some budget -> spill_outcome ctx (Subql_storage.Spill.group_by ~budget ~keys ~aggs src)
-  | None ->
-    if ctx.config.domains > 1 then begin
-      let schema = Chunk.Source.schema src in
-      (* Compiled once on the coordinator purely to route rows by group
-         key; every worker compiles its own aggregate state. *)
-      let probe = Ops.Group_acc.create ~schema ~keys ~aggs in
-      let rows =
-        Chunk.Exchange.fold ~domains:ctx.config.domains
-          ~partition:(fun row -> Tuple.hash (Ops.Group_acc.key_of probe row))
-          ~init:(fun _ -> Ops.Group_acc.create ~schema ~keys ~aggs)
-          ~fold:(fun acc c ->
-            Chunk.iter (Ops.Group_acc.step acc) c;
-            acc)
-          ~finish:(fun acc -> Relation.rows (Ops.Group_acc.result acc))
-          src
-      in
-      Relation.create ~check:false (Ops.Group_acc.out_schema probe) (Array.concat rows)
-    end
-    else Ops.group_by_source ~keys ~aggs src
+  | None -> Ops.group_by_source ~keys ~aggs src
 
 let gmdj_trace_attrs ~strategy ~blocks ~base ~completion =
   let base_attrs =
@@ -397,28 +363,9 @@ let dispatch ctx ?gmdj_stats ~(child : Algebra.t -> streamed) alg =
     match Chunk.Source.origin cd.src with
     | Some detail ->
       (* Materialized detail: the classic evaluator (its own span and
-         registry publication, including the `Reference strategy) — or
-         its partitioned twin when parallelism is configured. *)
+         registry publication, including the `Reference strategy). *)
       Chunk.Source.close cd.src;
-      let out =
-        if ctx.config.domains > 1 then
-          Gmdj.eval_partitioned ~strategy ?stats:gmdj_stats ~domains:ctx.config.domains
-            ~base ~detail blocks
-        else Gmdj.eval ~strategy ?stats:gmdj_stats ~base ~detail blocks
-      in
-      cd.release ();
-      bfree ();
-      emit ctx alg out
-    | None when ctx.config.domains > 1 ->
-      (* Streamed detail over the exchange: the coordinator pulls chunks
-         (storage scans stay single-domain) and [domains] workers fold
-         them into per-domain accumulator matrices, merged at the end. *)
-      let out =
-        Gmdj.Parallel.fold_source ~strategy ?stats:gmdj_stats ~domains:ctx.config.domains
-          ~base
-          ~detail_schema:(Chunk.Source.schema cd.src)
-          cd.src blocks
-      in
+      let out = Gmdj.eval ~strategy ?stats:gmdj_stats ~base ~detail blocks in
       cd.release ();
       bfree ();
       emit ctx alg out
@@ -450,26 +397,7 @@ let dispatch ctx ?gmdj_stats ~(child : Algebra.t -> streamed) alg =
     | Some detail ->
       Chunk.Source.close cd.src;
       let out =
-        if ctx.config.domains > 1 then
-          Gmdj.eval_completed_partitioned ~strategy ?stats:gmdj_stats
-            ~domains:ctx.config.domains ~completion ~base ~detail blocks
-        else
-          Gmdj.eval_completed ~strategy ?stats:gmdj_stats ~completion ~base ~detail blocks
-      in
-      cd.release ();
-      bfree ();
-      emit ctx alg out
-    | None when ctx.config.domains > 1 ->
-      (* Streamed detail over the exchange: workers run the completion
-         machinery on their shares and the verdicts merge (kill/fire are
-         monotone).  The coordinator keeps pulling the whole stream —
-         the saturation-driven storage exit below is a serial-only
-         refinement. *)
-      let out =
-        Gmdj.Parallel.fold_completed_source ~strategy ?stats:gmdj_stats
-          ~domains:ctx.config.domains ~completion ~base
-          ~detail_schema:(Chunk.Source.schema cd.src)
-          cd.src blocks
+        Gmdj.eval_completed ~strategy ?stats:gmdj_stats ~completion ~base ~detail blocks
       in
       cd.release ();
       bfree ();
@@ -575,8 +503,7 @@ let publish_run ctx =
   let open Subql_obs in
   Metrics.(incr ~by:ctx.acct.chunks (counter default "eval.chunks"));
   Metrics.(
-    set (gauge default "eval.peak_materialized_rows") (float_of_int ctx.acct.peak_rows));
-  Metrics.(set (gauge default "exec.domains") (float_of_int ctx.config.domains))
+    set (gauge default "eval.peak_materialized_rows") (float_of_int ctx.acct.peak_rows))
 
 let no_sources _ = None
 

@@ -14,27 +14,21 @@ type config = {
   join_strategy : Ops.join_strategy;
   gmdj_strategy : Gmdj.strategy;
   domains : int;
-      (** Degree of parallelism for pipeline breakers and GMDJ: with
-          [domains > 1] the executor runs them over a
-          {!Subql_relational.Chunk.Exchange} — the coordinator pulls the
-          input stream (storage scans and buffer pools stay
-          single-domain) and routes chunks to that many worker domains,
-          merging per-domain state at the breaker.  [1] (the default)
-          keeps every operator on the calling domain.  Results are
-          identical up to row order. *)
+      (** Unused: the executor runs every operator on the calling
+          domain and never reads this field.  It stays [1] in
+          {!default_config} only so existing readers of the record keep
+          building. *)
   spill_budget_rows : int option;
       (** When set, pipeline breakers (DISTINCT, GROUP BY, equi-joins)
           run their spillable variants ({!Subql_storage.Spill}): resident
           hash state freezes at this many rows and the overflow is
           hash-partitioned to temp heap files, merged in a second pass —
           so a breaker over detail-sized input degrades to I/O instead
-          of memory.  Takes precedence over [domains] at the breakers
-          (spilling runs on the coordinator); GMDJ never spills (its
-          state is |B|-bounded) and still parallelizes. *)
+          of memory.  GMDJ never spills (its state is |B|-bounded). *)
 }
 
 val default_config : config
-(** Hash joins, hash GMDJ, serial ([domains = 1]), no spilling. *)
+(** Hash joins, hash GMDJ, no spilling. *)
 
 val children : Algebra.t -> Algebra.t list
 (** Direct subplans, in evaluation order — the same order

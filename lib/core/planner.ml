@@ -45,33 +45,6 @@ let set_self_check on = self_check := on
 
 let self_check_enabled () = !self_check
 
-(* --- Parallel-merge certification ------------------------------------ *)
-
-type merge_certifier = Algebra.t -> Diag.t list
-
-let merge_certifier : merge_certifier option ref = ref None
-
-let set_merge_certifier f = merge_certifier := Some f
-
-let clear_merge_certifier () = merge_certifier := None
-
-(* With a certifier installed, a plan may only fan out across domains
-   when every aggregate reachable under the exchange merges as a
-   commutative monoid.  An uncertified plan is not degraded silently:
-   the PAR diagnostic is raised so the caller sees exactly which
-   aggregate would merge wrongly. *)
-let certify_parallel plan =
-  match !merge_certifier with
-  | None -> ()
-  | Some certify -> (
-    match List.filter Diag.is_error (certify plan) with
-    | [] -> ()
-    | d :: _ ->
-      Subql_obs.Metrics.incr
-        (Subql_obs.Metrics.counter Subql_obs.Metrics.default
-           "planner.merge_certificate.rejected");
-      raise (Diag.Fail d))
-
 (* Drop candidates the verifier finds unsound.  Every candidate set
    contains the GMDJ reference translation, which is sound by
    construction, so an empty survivor set means the verifier itself
@@ -132,38 +105,6 @@ let choose ?(config = Eval.default_config) catalog query =
       (Cost.memory_height (Cost.Stats.of_catalog catalog) ~config best.plan);
     best
   | [] -> assert false (* the GMDJ plan is always present *)
-
-(* --- Parallel / spill configuration --------------------------------- *)
-
-(* Below this much estimated work (tuple-operation units) an exchange is
-   all overhead: spawning domains and shipping chunks costs more than
-   the plan itself. *)
-let min_parallel_work = 16_384.
-
-let parallel_config ?domains ?mem_budget_rows stats config plan =
-  let requested =
-    match domains with
-    | Some d -> d
-    | None -> min (Domain.recommended_domain_count ()) 4
-  in
-  if requested <= 0 then invalid_arg "Planner.parallel_config: domains must be positive";
-  let work = (Cost.estimate stats ~config plan).Cost.cost in
-  let domains = if work < min_parallel_work then 1 else requested in
-  if domains > 1 then certify_parallel plan;
-  let spill_budget_rows =
-    match mem_budget_rows with
-    | Some b when b > 0 ->
-      (* Spill only when the in-memory plan would not fit: under the
-         budget the plain hash state is strictly cheaper. *)
-      if Cost.memory_height stats ~config plan > float_of_int b then Some b else None
-    | _ -> None
-  in
-  let open Subql_obs in
-  Metrics.set (Metrics.gauge Metrics.default "planner.domains") (float_of_int domains);
-  Metrics.set
-    (Metrics.gauge Metrics.default "planner.spill_budget_rows")
-    (match spill_budget_rows with Some b -> float_of_int b | None -> 0.);
-  { config with Eval.domains; spill_budget_rows }
 
 (* --- Estimated-vs-actual feedback ---------------------------------- *)
 

@@ -28,24 +28,6 @@ val choose :
   ?config:Eval.config -> Catalog.t -> Subql_nested.Nested_ast.query -> candidate
 (** The cheapest candidate. *)
 
-val parallel_config :
-  ?domains:int ->
-  ?mem_budget_rows:int ->
-  Cost.Stats.t ->
-  Eval.config ->
-  Algebra.t ->
-  Eval.config
-(** Pick the plan's execution mode at plan time: the degree of
-    parallelism from its estimated work — plans under a small-work
-    threshold stay serial, an exchange would be pure overhead —
-    capped at [domains] (default
-    [min (Domain.recommended_domain_count ()) 4]); and the spill point
-    from its {!Cost.memory_height} against [mem_budget_rows] — the
-    budget becomes [spill_budget_rows] only when the in-memory plan
-    would exceed it, so fitting plans keep their plain hash state.
-    Publishes ["planner.domains"] and ["planner.spill_budget_rows"]
-    gauges.  @raise Invalid_argument if [domains <= 0]. *)
-
 type feedback = {
   candidate : candidate;  (** the plan that ran *)
   actual_rows : int;
@@ -115,23 +97,6 @@ val set_plan_verifier : plan_verifier -> unit
 (** Install the verifier used by the self-check gate. *)
 
 val clear_plan_verifier : unit -> unit
-
-type merge_certifier = Algebra.t -> Diag.t list
-(** A parallel-merge lawfulness check: return the PAR diagnostics for
-    aggregates in the plan whose accumulator merge is not a commutative
-    monoid (error severity means "unsafe under an exchange").
-    [Subql_analysis.Verify.install_planner_gate] registers
-    [Subql_analysis.Mergeable.certify_plan]. *)
-
-val set_merge_certifier : merge_certifier -> unit
-(** Install the certifier consulted by {!parallel_config}: when the
-    resolved degree of parallelism exceeds 1 and the certifier reports
-    an error, the configuration raises {!Diag.Fail} with that
-    diagnostic (counted in ["planner.merge_certificate.rejected"])
-    instead of silently computing a wrong merge.  Serial plans are never
-    refused. *)
-
-val clear_merge_certifier : unit -> unit
 
 val set_self_check : bool -> unit
 (** Enable/disable the planner self-check gate (off by default).  When

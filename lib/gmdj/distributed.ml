@@ -88,8 +88,8 @@ let decompose blocks =
                 | Aggregate.Min _ | Aggregate.Max _ ->
                   [ spec ]
                 | Aggregate.First _ ->
-                  (* No commutative partial state exists; the planner's
-                     merge certificate keeps FIRST off this path. *)
+                  (* No commutative partial state exists: FIRST depends
+                     on detail arrival order across sites. *)
                   invalid_arg "Distributed: FIRST has no mergeable partial state")
               b.Gmdj.aggs;
         })

@@ -16,7 +16,8 @@
     - [Partial_aggregates] — the coordinator broadcasts the base-values
       relation; each site folds its partition into local accumulators
       and ships the accumulator states, which the coordinator merges
-      ({!Subql_relational.Aggregate.merge}).  Traffic grows with
+      (AVG travels as SUM and COUNT; FIRST has no mergeable partial
+      state and is refused).  Traffic grows with
       sites × |B|, independent of |R| — the distributed-OLAP win when
       the fact table dwarfs the base-values table. *)
 

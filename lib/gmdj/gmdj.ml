@@ -28,9 +28,7 @@ let ensure_block_slots s n =
 let strategy_name = function `Reference -> "reference" | `Scan -> "scan" | `Hash -> "hash"
 
 (* Registry publication: the engine-wide counters under "gmdj.*" in
-   {!Subql_obs.Metrics.default}.  Only coordinator-side code calls this
-   — parallel workers accumulate into local stats records which are
-   merged before publication (the registry is single-domain). *)
+   {!Subql_obs.Metrics.default}. *)
 let publish ?(evals = 1) ~owned ~passes0 ~rows0 ~thetas0 () =
   let open Subql_obs in
   let c name = Metrics.counter Metrics.default ("gmdj." ^ name) in
@@ -338,101 +336,6 @@ let eval ?(strategy = `Hash) ?stats ~base ~detail blocks =
     ~span:"gmdj.eval" stats
     (fun owned -> dispatch ~strategy ~theta_stats:stats ~stats:owned ~base ~detail blocks)
 
-(* ------------------------------------------------------------------ *)
-(* Exchange-parallel evaluation                                         *)
-(* ------------------------------------------------------------------ *)
-
-module Parallel_base = struct
-  (* GMDJ over an exchange: the coordinator pulls detail chunks and
-     routes them round-robin to [domains] workers; each worker owns its
-     θ-plans (compiled closures and hash indexes carry per-evaluation
-     mutable buffers), its accumulator matrix and its stats record, and
-     folds its share of the detail with the same [accumulate_range] core
-     as the serial path.  At the merge, worker accumulators combine with
-     {!Aggregate.merge} — every SQL aggregate state is mergeable, so the
-     exchange is a plain commutative reduction and round-robin routing
-     (no key) is sound.  Base rows and detail chunks are shared
-     read-only; the registry is only touched on the coordinator. *)
-  let fold_source ?(strategy = `Hash) ?stats ~domains ~base ~detail_schema source blocks =
-    if domains <= 0 then invalid_arg "Gmdj.Parallel.fold_source: domains must be positive";
-    let strategy = match strategy with `Reference -> `Scan | (`Scan | `Hash) as s -> s in
-    with_owned_stats
-      ~attrs:
-        [
-          ("strategy", strategy_name strategy);
-          ("blocks", string_of_int (List.length blocks));
-          ("domains", string_of_int domains);
-        ]
-      ~span:"gmdj.eval_exchange" stats
-    @@ fun owned ->
-    let bs = Relation.schema base and ds = detail_schema in
-    let out_schema = output_schema ~base:bs ~detail:ds blocks in
-    let base_rows = Relation.rows base in
-    let results =
-      Chunk.Exchange.fold ~domains
-        ~init:(fun _ctx ->
-          let local = fresh_stats () in
-          let plans =
-            Array.of_list
-              (List.map
-                 (fun b -> make_plan ~strategy ~stats:(Some local) ~bs ~ds ~base_rows b.theta)
-                 blocks)
-          in
-          let accs = make_accs ~bs ~ds ~n_base:(Array.length base_rows) blocks in
-          (plans, accs, local))
-        ~fold:(fun ((plans, accs, local) as st) chunk ->
-          let lo = Chunk.offset chunk in
-          accumulate_range ~plans ~accs ~base_rows ~detail_rows:(Chunk.buffer chunk)
-            ~stats:local lo
-            (lo + Chunk.length chunk);
-          st)
-        ~finish:(fun (_, accs, local) -> (accs, local))
-        source
-    in
-    (* The exchange touches every detail row exactly once across all
-       workers, so it counts as one logical pass of the detail. *)
-    owned.detail_passes <- owned.detail_passes + 1;
-    ensure_block_slots owned (List.length blocks);
-    let merged = match results with (accs, _) :: _ -> accs | [] -> assert false in
-    List.iteri
-      (fun i (accs, st) ->
-        if i > 0 then
-          Array.iteri
-            (fun bi per_block ->
-              Array.iteri
-                (fun block_i per_agg ->
-                  Array.iteri
-                    (fun agg_i acc -> Aggregate.merge ~into:merged.(bi).(block_i).(agg_i) acc)
-                    per_agg)
-                per_block)
-            accs;
-        owned.detail_scanned <- owned.detail_scanned + st.detail_scanned;
-        owned.theta_evals <- owned.theta_evals + st.theta_evals;
-        Array.iteri
-          (fun block_i n ->
-            owned.block_updates.(block_i) <- owned.block_updates.(block_i) + n)
-          st.block_updates)
-      results;
-    Relation.create ~check:false out_schema
-      (Array.mapi (fun bi brow -> emit_row brow merged.(bi)) base_rows)
-end
-
-let eval_partitioned ?(strategy = `Hash) ?stats ~domains ~base ~detail blocks =
-  if domains <= 0 then invalid_arg "Gmdj.eval_partitioned: domains must be positive";
-  let strategy = match strategy with `Reference -> `Scan | (`Scan | `Hash) as s -> s in
-  let n_detail = Relation.cardinality detail in
-  let domains = max 1 (min domains n_detail) in
-  if domains = 1 then eval ~strategy ?stats ~base ~detail blocks
-  else
-    (* Slice the detail so every worker gets work even on small inputs,
-       and ride the exchange: this is now just [Parallel.fold_source]
-       over a whole-relation chunk stream. *)
-    let chunk_rows = max 1 (min Chunk.default_rows ((n_detail + domains - 1) / domains)) in
-    Parallel_base.fold_source ~strategy ?stats ~domains ~base
-      ~detail_schema:(Relation.schema detail)
-      (Chunk.Source.of_relation ~chunk_rows detail)
-      blocks
-
 let eval_segmented ?(strategy = `Hash) ?stats ~segment_size ~base ~detail blocks =
   if segment_size <= 0 then invalid_arg "Gmdj.eval_segmented: segment_size must be positive";
   let bs = Relation.schema base and ds = Relation.schema detail in
@@ -489,22 +392,14 @@ type completed_state = {
   mutable c_settled_at_compact : int;
   c_ctx : Tuple.t array;
   c_stats : stats;
-  (* Exchange workers must not touch the (single-domain) registry, so
-     the early-exit count is routed through this hook: the default bumps
-     the registry, parallel workers substitute a no-op and the
-     coordinator counts once after the merge. *)
-  c_on_early_exit : unit -> unit;
   mutable c_saturated : bool;
 }
 
-let count_early_exit () = Subql_obs.Metrics.(incr (counter default "gmdj.early_exits"))
-
 let mark_early_exit st =
   st.c_stats.early_exit <- true;
-  st.c_on_early_exit ()
+  Subql_obs.Metrics.(incr (counter default "gmdj.early_exits"))
 
-let completed_start ~strategy ~theta_stats ~stats ?(on_early_exit = count_early_exit)
-    ~completion ~base ~detail_schema blocks =
+let completed_start ~strategy ~theta_stats ~stats ~completion ~base ~detail_schema blocks =
   let strategy = match strategy with `Reference -> `Scan | (`Scan | `Hash) as s -> s in
   ensure_block_slots stats (List.length blocks);
   let bs = Relation.schema base and ds = detail_schema in
@@ -548,7 +443,6 @@ let completed_start ~strategy ~theta_stats ~stats ?(on_early_exit = count_early_
       c_settled_at_compact = 0;
       c_ctx = [| Tuple.empty; Tuple.empty |];
       c_stats = stats;
-      c_on_early_exit = on_early_exit;
       c_saturated = false;
     }
   in
@@ -665,103 +559,6 @@ let eval_completed ?(strategy = `Hash) ?stats ~completion ~base ~detail blocks =
   in
   completed_feed st (Chunk.whole detail);
   completed_finish st
-
-(* Fold worker [b]'s completion verdicts into [a]: killed and fired are
-   monotone under more detail rows, so alive ANDs, fired ORs, and the
-   aggregate states merge.  A worker may have kept stepping aggregates
-   for a base tuple another worker killed — harmless, the merged
-   [c_alive] excludes that tuple from the output. *)
-let completed_merge ~into:a b =
-  let n_base = Array.length a.c_base_rows in
-  let n_preds = Array.length a.c_fired_plans in
-  for bi = 0 to n_base - 1 do
-    a.c_alive.(bi) <- a.c_alive.(bi) && b.c_alive.(bi);
-    let unfired = ref n_preds in
-    for pi = 0 to n_preds - 1 do
-      a.c_fired.(pi).(bi) <- a.c_fired.(pi).(bi) || b.c_fired.(pi).(bi);
-      if a.c_fired.(pi).(bi) then decr unfired
-    done;
-    a.c_unfired.(bi) <- !unfired;
-    Array.iteri
-      (fun block_i per_agg ->
-        Array.iteri
-          (fun agg_i acc -> Aggregate.merge ~into:acc b.c_accs.(bi).(block_i).(agg_i))
-          per_agg)
-      a.c_accs.(bi)
-  done
-
-module Parallel = struct
-  include Parallel_base
-
-  (* Completion-aware GMDJ over the exchange.  Each worker runs the
-     serial completion machinery on its share of the detail — including
-     local early exit, which is sound because kill/fire verdicts are
-     monotone: once a worker's share has settled every base tuple, its
-     remaining detail rows cannot change its contribution.  Workers
-     never touch the registry (the early-exit hook is a no-op on their
-     domains); the coordinator counts one logical pass and one early
-     exit for the whole evaluation. *)
-  let fold_completed_source ?(strategy = `Hash) ?stats ~domains ~completion ~base
-      ~detail_schema source blocks =
-    if domains <= 0 then
-      invalid_arg "Gmdj.Parallel.fold_completed_source: domains must be positive";
-    let strategy = match strategy with `Reference -> `Scan | (`Scan | `Hash) as s -> s in
-    with_owned_stats
-      ~attrs:
-        [
-          ("strategy", strategy_name strategy);
-          ("blocks", string_of_int (List.length blocks));
-          ("kill_preds", string_of_int (List.length completion.kill_when));
-          ("require_preds", string_of_int (List.length completion.require_fired));
-          ("domains", string_of_int domains);
-        ]
-      ~span:"gmdj.eval_completed" stats
-    @@ fun owned ->
-    let results =
-      Chunk.Exchange.fold ~domains
-        ~init:(fun _ctx ->
-          let local = fresh_stats () in
-          completed_start ~strategy ~theta_stats:(Some local) ~stats:local
-            ~on_early_exit:ignore ~completion ~base ~detail_schema blocks)
-        ~fold:(fun st chunk ->
-          completed_feed st chunk;
-          st)
-        ~finish:(fun st -> st)
-        source
-    in
-    owned.detail_passes <- owned.detail_passes + 1;
-    ensure_block_slots owned (List.length blocks);
-    let merged = match results with st :: _ -> st | [] -> assert false in
-    List.iteri
-      (fun i st ->
-        if i > 0 then completed_merge ~into:merged st;
-        owned.detail_scanned <- owned.detail_scanned + st.c_stats.detail_scanned;
-        owned.theta_evals <- owned.theta_evals + st.c_stats.theta_evals;
-        Array.iteri
-          (fun block_i n ->
-            owned.block_updates.(block_i) <- owned.block_updates.(block_i) + n)
-          st.c_stats.block_updates)
-      results;
-    if List.exists (fun st -> st.c_stats.early_exit) results then begin
-      owned.early_exit <- true;
-      count_early_exit ()
-    end;
-    completed_finish merged
-end
-
-let eval_completed_partitioned ?(strategy = `Hash) ?stats ~domains ~completion ~base
-    ~detail blocks =
-  if domains <= 0 then
-    invalid_arg "Gmdj.eval_completed_partitioned: domains must be positive";
-  let n_detail = Relation.cardinality detail in
-  let domains = max 1 (min domains n_detail) in
-  if domains = 1 then eval_completed ~strategy ?stats ~completion ~base ~detail blocks
-  else
-    let chunk_rows = max 1 (min Chunk.default_rows ((n_detail + domains - 1) / domains)) in
-    Parallel.fold_completed_source ~strategy ?stats ~domains ~completion ~base
-      ~detail_schema:(Relation.schema detail)
-      (Chunk.Source.of_relation ~chunk_rows detail)
-      blocks
 
 (* ------------------------------------------------------------------ *)
 (* Public chunk-at-a-time evaluation                                    *)

@@ -71,24 +71,6 @@ val eval :
   block list ->
   Relation.t
 
-val eval_partitioned :
-  ?strategy:strategy ->
-  ?stats:stats ->
-  domains:int ->
-  base:Relation.t ->
-  detail:Relation.t ->
-  block list ->
-  Relation.t
-(** Parallel evaluation (the parallel/distributed suitability noted in
-    the paper's conclusion): the detail relation is sliced into chunks
-    and run through {!Parallel.fold_source} — each of [domains] OCaml
-    domains evaluates its share against the shared read-only base, and
-    the per-domain accumulators are merged — every SQL aggregate state
-    is mergeable (see {!Aggregate.merge}).  Results are identical to
-    {!eval}.  [domains] is capped at the detail cardinality; [1] (or a
-    single-row detail) falls back to {!eval}.
-    @raise Invalid_argument if [domains <= 0]. *)
-
 val eval_segmented :
   ?strategy:strategy ->
   ?stats:stats ->
@@ -144,64 +126,6 @@ val eval_completed :
   Relation.t
 (** Returns only the surviving base rows, extended with the aggregate
     columns.  [`Reference] is treated as [`Scan]. *)
-
-val eval_completed_partitioned :
-  ?strategy:strategy ->
-  ?stats:stats ->
-  domains:int ->
-  completion:completion ->
-  base:Relation.t ->
-  detail:Relation.t ->
-  block list ->
-  Relation.t
-(** {!eval_completed} with the detail sliced across [domains] domains
-    via {!Parallel.fold_completed_source}.  [domains] is capped at the
-    detail cardinality; [1] falls back to {!eval_completed}.
-    @raise Invalid_argument if [domains <= 0]. *)
-
-(** Exchange-parallel evaluation: GMDJ as a fold over a
-    {!Subql_relational.Chunk.Exchange}. *)
-module Parallel : sig
-  val fold_source :
-    ?strategy:strategy ->
-    ?stats:stats ->
-    domains:int ->
-    base:Relation.t ->
-    detail_schema:Schema.t ->
-    Chunk.Source.t ->
-    block list ->
-    Relation.t
-  (** Drain a detail chunk stream through [domains] workers, each folding
-      its share into a private accumulator matrix with the same core as
-      {!Fold}, then merge the matrices with
-      {!Subql_relational.Aggregate.merge} and emit in base order.  The
-      coordinator owns the pull side of the stream (storage scans and
-      buffer pools stay single-domain); round-robin chunk routing is
-      sound because the merge is a commutative reduction.  [`Reference]
-      is treated as [`Scan]; [domains = 1] folds inline with no spawn.
-      Supplied [stats] aggregate the per-worker counts, and θ-evaluation
-      counting is always on in workers (as with {!eval_partitioned}).
-      @raise Invalid_argument if [domains <= 0]. *)
-
-  val fold_completed_source :
-    ?strategy:strategy ->
-    ?stats:stats ->
-    domains:int ->
-    completion:completion ->
-    base:Relation.t ->
-    detail_schema:Schema.t ->
-    Chunk.Source.t ->
-    block list ->
-    Relation.t
-  (** Completion-aware {!fold_source}: each worker runs the Thm 4.1/4.2
-      kill/require machinery on its share of the detail, with local
-      early exit — sound because verdicts are monotone in the detail
-      rows seen.  At the merge, alive ANDs, fired ORs and accumulators
-      merge; a tuple killed by any worker is excluded even if another
-      worker kept aggregating it.  One logical detail pass (and at most
-      one early exit) is published for the whole evaluation.
-      @raise Invalid_argument if [domains <= 0]. *)
-end
 
 (** {1 Chunk-at-a-time evaluation}
 

@@ -162,33 +162,6 @@ let reset t =
         h.total <- 0.)
     t.table
 
-(* Per-domain scratch counters for parallel sections.  A registry is
-   single-domain mutable state; exchange workers therefore count into a
-   private scratch table and the coordinator folds the deltas into the
-   registry after joining the domains — at the close of the enclosing
-   span, so no count is ever lost or torn. *)
-module Scratch = struct
-  let registry_incr = incr
-
-  type nonrec t = { deltas : (string, int ref) Hashtbl.t }
-
-  let create () = { deltas = Hashtbl.create 16 }
-
-  let incr ?(by = 1) t name =
-    if by < 0 then invalid_arg "Metrics.Scratch.incr: counters only go up";
-    match Hashtbl.find_opt t.deltas name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.replace t.deltas name (ref by)
-
-  let counter_value t name =
-    match Hashtbl.find_opt t.deltas name with Some r -> !r | None -> 0
-
-  let merge_into registry t =
-    Hashtbl.iter
-      (fun name r -> if !r > 0 then registry_incr ~by:!r (counter registry name))
-      t.deltas
-end
-
 let pp ppf t =
   let s = snapshot t in
   List.iter (fun (name, v) -> Format.fprintf ppf "%-44s %d@." name v) s.counters;

@@ -2,10 +2,8 @@
     histograms.
 
     All state is plain mutable memory with no atomics — metrics are
-    meant to be touched from a single domain (the engine's coordinator
-    thread).  Parallel GMDJ workers therefore accumulate into local
-    {!Subql_gmdj.Gmdj.stats} records and the coordinator publishes the
-    merged totals here.
+    meant to be touched from a single domain (the engine's executor
+    runs on one).
 
     Metrics are find-or-create: registering a name twice returns the
     same instrument, so independent modules can share series
@@ -99,33 +97,6 @@ val quantile : histogram_snapshot -> float -> float
 
 val reset : t -> unit
 (** Zero every series (instruments stay registered). *)
-
-(** {1 Per-domain scratch counters}
-
-    The registry itself is single-domain (see the module preamble).
-    Parallel sections — exchange workers pulling chunks on their own
-    domains — count into a private {!Scratch.t} instead, and the
-    coordinator calls {!Scratch.merge_into} after joining the domains
-    (at the close of the enclosing span), so the registry only ever sees
-    single-domain writes and no count is lost. *)
-module Scratch : sig
-  type registry := t
-
-  type t
-
-  val create : unit -> t
-
-  val incr : ?by:int -> t -> string -> unit
-  (** Add [by] (default 1) to the named counter delta.
-      @raise Invalid_argument if [by < 0]. *)
-
-  val counter_value : t -> string -> int
-  (** The accumulated delta; 0 for a name never incremented. *)
-
-  val merge_into : registry -> t -> unit
-  (** Fold every positive delta into the registry's counters
-      (find-or-create, like {!val:counter}). *)
-end
 
 val pp : Format.formatter -> t -> unit
 (** Plain-text rendering, one series per line. *)

@@ -16,10 +16,8 @@ type frame = {
 }
 
 (* All span state is domain-local (one independent trace machine per
-   domain), so exchange workers can open spans on their own domains
-   without racing the coordinator.  Workers hand their completed spans
-   back through {!drain_local}; the coordinator attaches them under its
-   open span with {!absorb}. *)
+   domain), so code fanned out over domains can open spans without
+   racing the calling domain. *)
 type state = {
   mutable on : bool;
   mutable stack : frame list;
@@ -74,16 +72,6 @@ let add_attr key value =
 let roots () = List.rev (state ()).finished
 
 let clear () = (state ()).finished <- []
-
-let drain_local () =
-  let st = state () in
-  let spans = List.rev st.finished in
-  st.finished <- [];
-  spans
-
-let absorb spans =
-  let st = state () in
-  List.iter (push_completed st) spans
 
 let to_chrome_json () =
   let events = ref [] in

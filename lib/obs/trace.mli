@@ -6,11 +6,10 @@
     leaving instrumentation in hot paths costs nearly nothing.
 
     All trace state is {e domain-local} ([Domain.DLS]): every domain
-    runs its own independent span machine, so parallel exchange workers
-    can trace on their own domains without racing the coordinator.  A
-    worker enables tracing for itself, collects its completed spans with
-    {!drain_local}, and the coordinator attaches them under its open
-    span with {!absorb} when the workers join.
+    runs its own independent span machine, so work fanned out over
+    domains (the [analyze --certify --domains] checker) can run
+    instrumented code without racing the calling domain; spans opened
+    on another domain are not collected.
 
     Completed root spans accumulate per domain until {!clear};
     {!to_chrome_json} renders them in the Chrome [chrome://tracing] /
@@ -44,16 +43,6 @@ val roots : unit -> span list
 
 val clear : unit -> unit
 (** Drop completed spans (open spans are unaffected). *)
-
-val drain_local : unit -> span list
-(** Take (and clear) the calling domain's completed top-level spans,
-    oldest first — how an exchange worker hands its spans to the
-    coordinator at join time. *)
-
-val absorb : span list -> unit
-(** Attach already-completed spans (oldest first) as children of the
-    calling domain's innermost open span — or as top-level roots when no
-    span is open.  The coordinator side of {!drain_local}. *)
 
 val to_chrome_json : unit -> string
 (** The completed spans as a Chrome-tracing JSON array. *)

@@ -138,29 +138,6 @@ let step_back acc ctx =
       acc.n <- acc.n - 1
     end
 
-let merge ~into other =
-  if into.compiled.kind <> other.compiled.kind then
-    invalid_arg "Aggregate.merge: accumulators of different kinds";
-  (match into.compiled.kind with
-  | Kcount_star | Kcount -> ()
-  | Ksum ->
-    if other.n > 0 then
-      into.acc_v <- (if into.n = 0 then other.acc_v else Value.add into.acc_v other.acc_v)
-  | Kmin ->
-    if other.n > 0 && (into.n = 0 || Value.compare other.acc_v into.acc_v < 0) then
-      into.acc_v <- other.acc_v
-  | Kmax ->
-    if other.n > 0 && (into.n = 0 || Value.compare other.acc_v into.acc_v > 0) then
-      into.acc_v <- other.acc_v
-  | Kavg -> into.fsum <- into.fsum +. other.fsum
-  | Kfirst ->
-    (* Concatenation order: [into] precedes [other].  This is only a
-       lawful parallel merge when partitions arrive back in input order
-       — FIRST has an identity and is associative but not commutative,
-       which is exactly what [Mergeable] refuses to certify. *)
-    if into.n = 0 && other.n > 0 then into.acc_v <- other.acc_v);
-  into.n <- into.n + other.n
-
 let value acc =
   match acc.compiled.kind with
   | Kcount_star | Kcount -> Value.Int acc.n

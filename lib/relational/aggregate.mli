@@ -4,11 +4,7 @@
     NULL; [Sum]/[Min]/[Max]/[Avg] ignore NULLs and yield NULL on an
     empty (or all-NULL) input — the behaviour the paper's ALL-vs-max
     footnote hinges on.  [First e] yields the first non-NULL value of
-    [e] in detail arrival order (NULL on an empty or all-NULL input):
-    its accumulator merge is associative and has an identity but is
-    {e not} commutative, so it is only safe single-domain — the
-    [Mergeable] certificate pass exists to keep it (and anything like
-    it) out of exchange-parallel plans. *)
+    [e] in detail arrival order (NULL on an empty or all-NULL input). *)
 
 type func =
   | Count_star
@@ -61,16 +57,5 @@ val step_back : acc -> Tuple.t array -> unit
     contribution count returns to zero); MIN, MAX and FIRST are not
     incrementally maintainable downward.
     @raise Invalid_argument for MIN/MAX/FIRST accumulators. *)
-
-val merge : into:acc -> acc -> unit
-(** Fold the second accumulator into the first, with [into] taken as
-    the earlier partition.  Both must stem from the same [compiled]
-    aggregate.  Every standard SQL aggregate state here merges
-    commutatively (AVG carries sum and count separately), which is what
-    makes partitioned/distributed GMDJ evaluation possible; FIRST
-    merges associatively but {e not} commutatively, so it is lawful
-    only when partitions are recombined in input order — the
-    [Mergeable] analysis certifies exactly this distinction.
-    @raise Invalid_argument on accumulators of different kinds. *)
 
 val value : acc -> Value.t

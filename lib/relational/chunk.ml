@@ -156,185 +156,3 @@ module Source = struct
       iter (fun c -> Vec.blit c.buffer c.off out (Vec.length out) c.len) s;
       Relation.create ~check:false s.schema (Vec.to_array out)
 end
-
-(* ------------------------------------------------------------------ *)
-(* Exchange: fan a chunk stream out over OCaml domains                  *)
-(* ------------------------------------------------------------------ *)
-
-module Exchange = struct
-  type worker_ctx = { index : int; scratch : Subql_obs.Metrics.Scratch.t }
-
-  (* Bounded single-producer queue: the coordinator pushes, one worker
-     pops.  [None] is the end-of-stream marker, pushed once per worker. *)
-  type 'a queue = {
-    mutex : Mutex.t;
-    nonempty : Condition.t;
-    nonfull : Condition.t;
-    items : 'a Queue.t;
-    cap : int;
-  }
-
-  let queue_create cap =
-    {
-      mutex = Mutex.create ();
-      nonempty = Condition.create ();
-      nonfull = Condition.create ();
-      items = Queue.create ();
-      cap;
-    }
-
-  let queue_push q x =
-    Mutex.lock q.mutex;
-    while Queue.length q.items >= q.cap do
-      Condition.wait q.nonfull q.mutex
-    done;
-    Queue.add x q.items;
-    Condition.signal q.nonempty;
-    Mutex.unlock q.mutex
-
-  let queue_pop q =
-    Mutex.lock q.mutex;
-    while Queue.is_empty q.items do
-      Condition.wait q.nonempty q.mutex
-    done;
-    let x = Queue.take q.items in
-    Condition.signal q.nonfull;
-    Mutex.unlock q.mutex;
-    x
-
-  let default_queue_depth = 8
-
-  (* Per-chunk worker bookkeeping, counted into the worker's scratch so
-     the registry (single-domain) is never touched off-coordinator. *)
-  let count_chunk scratch c =
-    Subql_obs.Metrics.Scratch.incr scratch "exchange.chunks";
-    Subql_obs.Metrics.Scratch.incr ~by:(length c) scratch "exchange.rows"
-
-  (* The worker loop: runs [init] / [fold] / [finish] entirely on its own
-     domain (so compiled closures with private mutable buffers are built
-     where they are used), draining its queue even after a failure so
-     the coordinator can never block pushing to a dead worker. *)
-  let worker_body ~trace_on ~init ~fold ~finish idx q () =
-    let ctx = { index = idx; scratch = Subql_obs.Metrics.Scratch.create () } in
-    Subql_obs.Trace.set_enabled trace_on;
-    let drain () =
-      let rec skip () = match queue_pop q with None -> () | Some _ -> skip () in
-      skip ()
-    in
-    let result =
-      match
-        Subql_obs.Trace.with_
-          ~attrs:[ ("worker", string_of_int idx) ]
-          "exchange.worker"
-          (fun () ->
-            let acc = ref (init ctx) in
-            let rec loop () =
-              match queue_pop q with
-              | None -> ()
-              | Some c ->
-                count_chunk ctx.scratch c;
-                acc := fold !acc c;
-                loop ()
-            in
-            loop ();
-            finish !acc)
-      with
-      | r -> Ok r
-      | exception e ->
-        drain ();
-        Error e
-    in
-    (result, ctx.scratch, Subql_obs.Trace.drain_local ())
-
-  (* Re-chunk rows routed to one worker by a partition function: buffer
-     until a full chunk accumulates, so workers still see batch-sized
-     units of work. *)
-  let flush_batch schema push batch =
-    if Vec.length batch > 0 then begin
-      push (Some (of_rows schema (Vec.to_array batch)));
-      Vec.clear batch
-    end
-
-  let fold ?(queue_depth = default_queue_depth) ?partition ~domains ~init ~fold:step
-      ~finish source =
-    if domains <= 0 then invalid_arg "Chunk.Exchange.fold: domains must be positive";
-    if domains = 1 then begin
-      (* Inline fast path: same contract, no spawn.  Spans nest
-         naturally and the scratch merges at the span close. *)
-      let ctx = { index = 0; scratch = Subql_obs.Metrics.Scratch.create () } in
-      let result =
-        Subql_obs.Trace.with_
-          ~attrs:[ ("domains", "1") ]
-          "exchange"
-          (fun () ->
-            let acc = ref (init ctx) in
-            Source.iter
-              (fun c ->
-                count_chunk ctx.scratch c;
-                acc := step !acc c)
-              source;
-            finish !acc)
-      in
-      Subql_obs.Metrics.Scratch.merge_into Subql_obs.Metrics.default ctx.scratch;
-      [ result ]
-    end
-    else
-      Subql_obs.Trace.with_
-        ~attrs:[ ("domains", string_of_int domains) ]
-        "exchange"
-      @@ fun () ->
-      let trace_on = Subql_obs.Trace.enabled () in
-      let queues = Array.init domains (fun _ -> queue_create queue_depth) in
-      let handles =
-        Array.mapi
-          (fun i q ->
-            Domain.spawn (worker_body ~trace_on ~init ~fold:step ~finish i q))
-          queues
-      in
-      let schema = Source.schema source in
-      let feed () =
-        match partition with
-        | None ->
-          (* Round-robin whole chunks: zero-copy, order-insensitive
-             consumers only (accumulator merges are commutative). *)
-          let turn = ref 0 in
-          Source.iter
-            (fun c ->
-              queue_push queues.(!turn mod domains) (Some c);
-              incr turn)
-            source
-        | Some key ->
-          (* Hash on a key: split each chunk's rows by owner and ship
-             batch-sized sub-chunks, so equal keys meet on one domain. *)
-          let batches = Array.init domains (fun _ -> Vec.create ~dummy:[||] ()) in
-          Source.iter
-            (fun c ->
-              iter
-                (fun row ->
-                  let owner = (key row land max_int) mod domains in
-                  let batch = batches.(owner) in
-                  Vec.push batch row;
-                  if Vec.length batch >= default_rows then
-                    flush_batch schema (queue_push queues.(owner)) batch)
-                c)
-            source;
-          Array.iteri
-            (fun i batch -> flush_batch schema (queue_push queues.(i)) batch)
-            batches
-      in
-      let feed_error = match feed () with () -> None | exception e -> Some e in
-      Array.iter (fun q -> queue_push q None) queues;
-      let results = Array.map Domain.join handles in
-      (* Workers joined: merge their scratches and spans on the
-         coordinator while the exchange span is still open. *)
-      Array.iter
-        (fun (_, scratch, spans) ->
-          Subql_obs.Metrics.Scratch.merge_into Subql_obs.Metrics.default scratch;
-          Subql_obs.Trace.absorb spans)
-        results;
-      (match feed_error with Some e -> raise e | None -> ());
-      Array.to_list
-        (Array.map
-           (fun (r, _, _) -> match r with Ok v -> v | Error e -> raise e)
-           results)
-end

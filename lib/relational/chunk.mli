@@ -106,43 +106,3 @@ module Source : sig
   (** Drain into a relation — the {!origin} relation itself when the
       source is an untouched whole-relation stream. *)
 end
-
-(** Exchange: partition one chunk stream across N OCaml domains.
-
-    The coordinator owns the pull side (so storage scans, buffer pools
-    and the metrics registry stay single-domain) and routes chunks to
-    [domains] workers over bounded queues — round-robin by default, or
-    by a hash of each row when [partition] is given (equal keys always
-    meet on the same domain).  Each worker runs [init] / [fold] /
-    [finish] entirely on its own domain, so compiled expression closures
-    and hash indexes (which carry private mutable buffers) are built
-    where they are used; chunks themselves alias immutable tuple arrays
-    and are safe to share.
-
-    Observability contract: workers count into their
-    {!Subql_obs.Metrics.Scratch} ([exchange.chunks] / [exchange.rows]
-    built in, plus whatever the closures add via [worker_ctx.scratch])
-    and trace onto their own domain; at join the coordinator merges
-    every scratch into {!Subql_obs.Metrics.default} and absorbs the
-    worker spans under its open ["exchange"] span — so no count or span
-    is lost, and the registry only ever sees single-domain writes. *)
-module Exchange : sig
-  type worker_ctx = { index : int; scratch : Subql_obs.Metrics.Scratch.t }
-
-  val fold :
-    ?queue_depth:int ->
-    ?partition:(Tuple.t -> int) ->
-    domains:int ->
-    init:(worker_ctx -> 'acc) ->
-    fold:('acc -> t -> 'acc) ->
-    finish:('acc -> 'res) ->
-    Source.t ->
-    'res list
-  (** Drain the source through [domains] workers and return their
-      results in worker order.  [queue_depth] bounds each worker's
-      in-flight chunks (default 8), bounding coordinator read-ahead.
-      [domains = 1] runs inline on the calling domain — same contract,
-      no spawn.  A worker exception is re-raised on the coordinator
-      after all domains join; the source is always fully drained.
-      @raise Invalid_argument if [domains <= 0]. *)
-end

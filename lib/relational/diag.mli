@@ -72,9 +72,9 @@ val compare : t -> t -> int
 val sort : t list -> t list
 (** Sort by {!compare} and drop exact duplicates. *)
 
-(** Per-domain diagnostic buffers, mirroring [Metrics.Scratch]: workers
-    append locally without synchronization, the coordinator merges all
-    buffers and sorts once.  Because {!compare} is a total order over
+(** Per-domain diagnostic buffers: workers append locally without
+    synchronization, the calling domain merges all buffers and sorts
+    once.  Because {!compare} is a total order over
     the whole record, the merged output is byte-stable no matter how
     the scheduler interleaved the workers. *)
 module Scratch : sig

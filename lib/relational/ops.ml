@@ -103,8 +103,8 @@ let project_cols_kernel schema cols =
   (out_schema, map_kernel out_schema (fun row -> Tuple.project row idxs))
 
 (* Resumable distinct state: the seen-set behind DISTINCT, exposed so
-   the parallel executor can run one per domain and merge, and the spill
-   path can freeze it at a budget and route overflow rows to disk. *)
+   the spill path can freeze it at a budget and route overflow rows to
+   disk. *)
 module Distinct_acc = struct
   type t = { seen : (int, Tuple.t) Hashtbl.t; order : Tuple.t Vec.t }
 
@@ -122,8 +122,6 @@ module Distinct_acc = struct
     end
 
   let size t = Vec.length t.order
-
-  let merge ~into t = Vec.iter (fun row -> ignore (add into row)) t.order
 
   let rows t = Vec.to_array t.order
 end
@@ -287,8 +285,6 @@ let agg_schema frames aggs =
   List.map (fun spec -> Schema.attr spec.Aggregate.name (Aggregate.output_ty frames spec)) aggs
 
 (* Resumable grouping state: the hash table behind GROUP BY, exposed so
-   the parallel executor can run one per domain and merge accumulators
-   ({!Aggregate.merge} makes every SQL aggregate state mergeable), and
    the spill path can freeze the group set at a budget and route rows of
    unseen keys to disk. *)
 module Group_acc = struct
@@ -315,8 +311,6 @@ module Group_acc = struct
       order = Vec.create ~dummy:dummy_row ();
       ctx = [| Tuple.empty |];
     }
-
-  let out_schema t = t.out_schema
 
   let key_of t row = Tuple.project row t.key_idxs
 
@@ -349,21 +343,6 @@ module Group_acc = struct
       update t accs row;
       true
     | None -> false
-
-  (* Fold [t]'s groups into [into] (same schema/keys/aggs, e.g. built by
-     another exchange worker).  Accumulators of keys new to [into] are
-     adopted by reference, so [t] must not be stepped afterwards. *)
-  let merge ~into t =
-    Vec.iter
-      (fun key ->
-        let _, accs = Group_table.find t.groups key in
-        match Group_table.find_opt into.groups key with
-        | Some (_, into_accs) ->
-          List.iter2 (fun dst src -> Aggregate.merge ~into:dst src) into_accs accs
-        | None ->
-          Group_table.add into.groups key (key, accs);
-          Vec.push into.order key)
-      t.order
 
   let result t =
     let out = Vec.create ~dummy:dummy_row () in

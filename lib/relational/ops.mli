@@ -116,10 +116,8 @@ val aggregate_all_source : Aggregate.spec list -> Chunk.Source.t -> Relation.t
 (** {1 Resumable breaker state}
 
     The hash state behind DISTINCT and GROUP BY, exposed as first-class
-    accumulators: the parallel executor runs one per domain and merges
-    them at the exchange ({!Subql_relational.Aggregate.merge} makes
-    every aggregate state mergeable), and the spill path freezes them at
-    a memory budget and routes overflow rows to temp heap files.  The
+    accumulators: the spill path freezes them at a memory budget and
+    routes overflow rows to temp heap files.  The
     one-shot operators above are thin wrappers over these. *)
 
 module Distinct_acc : sig
@@ -135,8 +133,6 @@ module Distinct_acc : sig
   val size : t -> int
   (** Distinct rows held. *)
 
-  val merge : into:t -> t -> unit
-
   val rows : t -> Tuple.t array
   (** Distinct rows in first-seen order. *)
 end
@@ -149,8 +145,6 @@ module Group_acc : sig
     keys:(string option * string) list ->
     aggs:Aggregate.spec list ->
     t
-
-  val out_schema : t -> Schema.t
 
   val key_of : t -> Tuple.t -> Tuple.t
 
@@ -165,11 +159,6 @@ module Group_acc : sig
   val step_existing : t -> Tuple.t -> bool
   (** Fold a row into an already-present group; [false] means the key is
       new and the row was {e not} consumed — the spill overflow test. *)
-
-  val merge : into:t -> t -> unit
-  (** Merge another accumulator built from the same schema/keys/aggs.
-      Accumulators of keys new to [into] are adopted by reference, so
-      the source must not be stepped afterwards. *)
 
   val result : t -> Relation.t
   (** Groups in first-seen order, keys then aggregate columns. *)

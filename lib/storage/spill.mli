@@ -18,8 +18,7 @@
     removed on completion {e and} on exception.  Spill volume is
     published to {!Subql_obs.Metrics.default} as [exec.spills] /
     [exec.spilled_rows] / [exec.spilled_bytes].  These operators run on
-    the calling domain (the executor spills only at the coordinator, so
-    registry writes stay single-domain). *)
+    the calling domain. *)
 
 open Subql_relational
 

@@ -327,89 +327,7 @@ let test_3vl_null_semantics () =
     (q (N.all_ (attr ~rel:"o" "x") Expr.Gt (N.table "I") "i" ~col:"y"))
     0
 
-(* --- Parallel-merge lawfulness (PAR) ---------------------------------- *)
-
-module M = Subql_analysis.Mergeable
 module D = Subql_analysis.Deltaable
-
-(* The seeded unlawful aggregate: FIRST merges associatively (earliest
-   non-NULL in concatenation order) but not commutatively. *)
-let first_md =
-  A.Md
-    {
-      base = o;
-      detail = i;
-      blocks =
-        [
-          Gmdj.block
-            [ Aggregate.count_star "cnt"; Aggregate.first (attr ~rel:"i" "y") "fst" ]
-            (Expr.eq (attr ~rel:"i" "k") (attr ~rel:"o" "k"));
-        ];
-    }
-
-let test_mergeable () =
-  (* law derivation *)
-  let l = M.laws_of (Aggregate.First (attr ~rel:"i" "y")) in
-  Alcotest.(check bool) "FIRST is a monoid" true (l.M.has_identity && l.M.associative);
-  Alcotest.(check bool) "FIRST is not commutative" false l.M.commutative;
-  Alcotest.(check bool) "SUM is lawful" true
-    (M.laws_of (Aggregate.Sum (attr ~rel:"i" "y"))).M.commutative;
-  (* standard aggregates certify clean *)
-  Alcotest.(check (list string)) "count/max MD certifies" [] (codes (M.certify count_md));
-  Alcotest.(check bool) "certified for parallel" true (M.certified_for_parallel count_md);
-  (* FIRST in a GMDJ block: cross-domain accumulator merge -> error *)
-  let diags = M.certify first_md in
-  Alcotest.(check (list string)) "PAR001 on FIRST in MD" [ "PAR001" ] (codes diags);
-  Alcotest.(check bool) "errors refuse parallelism" false
-    (M.certified_for_parallel first_md);
-  (* FIRST under hash-partitioned GROUP BY: warning, still certified *)
-  let gb =
-    A.Group_by
-      {
-        keys = [ (Some "i", "k") ];
-        aggs = [ Aggregate.first (attr ~rel:"i" "y") "fst" ];
-        input = i;
-      }
-  in
-  Alcotest.(check (list string)) "PAR003 under GROUP BY" [ "PAR003" ] (codes (M.certify gb));
-  Alcotest.(check bool) "warnings do not refuse" true (M.certified_for_parallel gb);
-  (* a hypothetical non-monoid state is refused everywhere *)
-  let broken _ = { M.has_identity = false; associative = false; commutative = false } in
-  Alcotest.(check bool) "PAR002 for non-monoid" true
-    (has "PAR002" (M.certify ~laws_of:broken gb))
-
-(* The planner consults the certificate before fanning out: an unlawful
-   plan raises PAR001 instead of computing a nondeterministic merge. *)
-let test_merge_gate () =
-  (* enough detail rows that the work estimate clears the planner's
-     serial cutoff and the certificate actually gets consulted *)
-  let zcat = Subql_workload.Zoo.catalog ~inner:20_000 () in
-  let stats = Subql.Cost.Stats.of_catalog zcat in
-  let config = Subql.Eval.default_config in
-  V.install_planner_gate ();
-  Fun.protect
-    ~finally:(fun () -> V.clear_planner_gate ())
-    (fun () ->
-      (* lawful plan: parallelizes *)
-      let cfg = Subql.Planner.parallel_config ~domains:4 stats config count_md in
-      Alcotest.(check bool) "lawful plan fans out" true (cfg.Subql.Eval.domains > 1);
-      (* unlawful plan: enough work to want domains, refused with PAR001 *)
-      let before =
-        Subql_obs.Metrics.counter_value_by_name Subql_obs.Metrics.default
-          "planner.merge_certificate.rejected"
-      in
-      (match Subql.Planner.parallel_config ~domains:4 stats config first_md with
-      | _ -> Alcotest.fail "expected Diag.Fail for the FIRST plan"
-      | exception Diag.Fail d ->
-        Alcotest.(check string) "PAR001 raised" "PAR001" d.Diag.code);
-      let after =
-        Subql_obs.Metrics.counter_value_by_name Subql_obs.Metrics.default
-          "planner.merge_certificate.rejected"
-      in
-      Alcotest.(check int) "rejection counted" (before + 1) after;
-      (* serial execution of the same plan is never refused *)
-      let cfg = Subql.Planner.parallel_config ~domains:1 stats config first_md in
-      Alcotest.(check int) "serial still allowed" 1 cfg.Subql.Eval.domains)
 
 (* --- Delta-maintainability (ING) -------------------------------------- *)
 
@@ -640,8 +558,6 @@ let () =
       ("zoo", [ Alcotest.test_case "all templates clean" `Quick test_zoo_clean ]);
       ( "certificates",
         [
-          Alcotest.test_case "merge lawfulness" `Quick test_mergeable;
-          Alcotest.test_case "planner merge gate" `Quick test_merge_gate;
           Alcotest.test_case "delta maintainability" `Quick test_deltaable;
           Alcotest.test_case "interval soundness" `Quick test_intervals;
           Alcotest.test_case "certified admission" `Quick test_certified_admission;

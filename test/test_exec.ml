@@ -91,105 +91,10 @@ let test_override_schema_validation () =
   | _ -> Alcotest.fail "wrong-schema override must be rejected"
   | exception Diag.Fail d -> Alcotest.(check string) "diagnostic code" "EVL001" d.Diag.code
 
-(* --- Parallel exchange execution -------------------------------------- *)
-
-let parallel_config domains = { Subql.Eval.default_config with Subql.Eval.domains }
+(* --- Spill-to-disk pipeline breakers ----------------------------------- *)
 
 let spill_config budget =
   { Subql.Eval.default_config with Subql.Eval.spill_budget_rows = Some budget }
-
-(* Every zoo query, at 2 and 4 domains, whether inputs are catalog
-   relations or anonymous chunk streams, must be multiset-equal to the
-   serial evaluation — exchange routing and accumulator merging are
-   invisible in the answer. *)
-let test_parallel_agrees_with_serial () =
-  let catalog = Zoo.catalog () in
-  List.iter
-    (fun (name, q) ->
-      let p = plan q in
-      let reference = Subql.Eval.eval catalog p in
-      List.iter
-        (fun domains ->
-          Helpers.check_multiset_equal
-            (Printf.sprintf "%s: %d domains" name domains)
-            reference
-            (Subql.Eval.eval ~config:(parallel_config domains) catalog p);
-          Helpers.check_multiset_equal
-            (Printf.sprintf "%s: %d domains, chunked sources" name domains)
-            reference
-            (fst
-               (Subql.Eval.eval_exec ~config:(parallel_config domains)
-                  ~sources:(chunked_sources catalog) catalog p)))
-        [ 2; 4 ])
-    Zoo.queries
-
-(* Exchange accounting: with 4 workers pulling a genuinely chunked
-   stream, the workers between them see every row exactly once, and the
-   merged scratches land the same total in the registry's
-   [exchange.rows] series. *)
-let test_exchange_row_accounting () =
-  let rows = 1000 in
-  let catalog = Zoo.catalog ~outer:8 ~inner:rows () in
-  let rel = Catalog.find catalog "I" in
-  let src () = Chunk.Source.map Fun.id (Chunk.Source.of_relation ~chunk_rows:7 rel) in
-  let registry_rows () =
-    Subql_obs.Metrics.counter_value_by_name Subql_obs.Metrics.default "exchange.rows"
-  in
-  let before = registry_rows () in
-  let counts =
-    Chunk.Exchange.fold ~domains:4
-      ~init:(fun _ -> 0)
-      ~fold:(fun acc chunk -> acc + Chunk.length chunk)
-      ~finish:Fun.id (src ())
-  in
-  Alcotest.(check int) "4 workers" 4 (List.length counts);
-  Alcotest.(check int) "round-robin: workers saw every row once" rows
-    (List.fold_left ( + ) 0 counts);
-  Alcotest.(check int) "no exchange.rows count lost" rows (registry_rows () - before);
-  (* Hash partitioning: equal keys always meet on the same worker, so the
-     per-worker key sets are pairwise disjoint. *)
-  let key t = match t.(0) with Value.Int k -> k | _ -> 0 in
-  let keysets =
-    Chunk.Exchange.fold ~domains:4
-      ~partition:(fun t -> key t)
-      ~init:(fun _ -> Hashtbl.create 64)
-      ~fold:(fun seen chunk ->
-        Chunk.iter (fun t -> Hashtbl.replace seen (key t) ()) chunk;
-        seen)
-      ~finish:Fun.id (src ())
-  in
-  List.iteri
-    (fun i a ->
-      List.iteri
-        (fun j b ->
-          if i < j then
-            Hashtbl.iter
-              (fun k () ->
-                if Hashtbl.mem b k then
-                  Alcotest.failf "key %d met on workers %d and %d" k i j)
-              a)
-        keysets)
-    keysets
-
-(* The optimizer rewrites EXISTS-style zoo queries to [Md_completed]
-   (completion rules, Thms 4.1–4.2) — that path must also ride the
-   exchange when domains are configured, pushing every detail row
-   through a worker exactly once. *)
-let test_completed_plans_ride_the_exchange () =
-  let inner = 600 in
-  let catalog = Zoo.catalog ~outer:16 ~inner () in
-  let p = plan (Zoo.find_query "exists") in
-  let registry_rows () =
-    Subql_obs.Metrics.counter_value_by_name Subql_obs.Metrics.default "exchange.rows"
-  in
-  let reference = Subql.Eval.eval catalog p in
-  let before = registry_rows () in
-  Helpers.check_multiset_equal "exists: 4 domains" reference
-    (Subql.Eval.eval ~config:(parallel_config 4) catalog p);
-  Alcotest.(check int) "whole detail crossed the exchange" inner
-    (registry_rows () - before)
-
-(* --- Spill-to-disk pipeline breakers ----------------------------------- *)
 
 let temp_spill_files () =
   Sys.readdir (Filename.get_temp_dir_name ())
@@ -233,25 +138,6 @@ let test_spill_agrees_and_cleans_up () =
   Alcotest.(check (list string)) "no temp heap file left behind" files_before
     (temp_spill_files ())
 
-(* Spill and exchange compose: an explicit budget wins at the breakers
-   (serial spilling), while everything else still rides the exchange. *)
-let test_spill_with_domains () =
-  let catalog = Zoo.catalog ~outer:24 ~inner:400 () in
-  List.iter
-    (fun (name, q) ->
-      let p = plan q in
-      let config =
-        { Subql.Eval.default_config with
-          Subql.Eval.domains = 4;
-          spill_budget_rows = Some 8
-        }
-      in
-      Helpers.check_multiset_equal
-        (name ^ ": 4 domains + 8-row spill budget")
-        (Subql.Eval.eval catalog p)
-        (Subql.Eval.eval ~config catalog p))
-    Zoo.queries
-
 let () =
   Alcotest.run "exec"
     [
@@ -266,18 +152,9 @@ let () =
           Alcotest.test_case "schema validation (EVL001)" `Quick
             test_override_schema_validation;
         ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "parallel agrees with serial over the zoo" `Quick
-            test_parallel_agrees_with_serial;
-          Alcotest.test_case "exchange row accounting" `Quick test_exchange_row_accounting;
-          Alcotest.test_case "completed plans ride the exchange" `Quick
-            test_completed_plans_ride_the_exchange;
-        ] );
       ( "spill",
         [
           Alcotest.test_case "spill agrees and cleans up temp files" `Quick
             test_spill_agrees_and_cleans_up;
-          Alcotest.test_case "spill composes with domains" `Quick test_spill_with_domains;
         ] );
     ]

@@ -179,29 +179,23 @@ let engines_agree (query, db) =
      | exception Subql_unnest.Unnest.Not_applicable _ -> true)
   && check "planner" (Subql.Planner.run catalog query)
 
-(* Parallel execution and spilling are pure execution modes: for any
-   random query, database, degree of parallelism (1–4) and spill budget
-   (including forced 1-row budgets that push everything through temp
-   heap files), the answer is multiset-equal to the serial in-memory
-   evaluation. *)
-let gen_exec_mode =
-  let* domains = G.int_range 1 4 in
-  let* budget = G.oneofl [ None; Some 1; Some 3; Some 16; Some 256 ] in
-  G.return (domains, budget)
+(* Spilling is a pure execution mode: for any random query, database
+   and spill budget (including forced 1-row budgets that push everything
+   through temp heap files), the answer is multiset-equal to the
+   in-memory evaluation. *)
+let gen_spill_budget = G.oneofl [ None; Some 1; Some 3; Some 16; Some 256 ]
 
-let gen_parallel_case = G.triple gen_query Query_zoo.db_gen gen_exec_mode
+let gen_spill_case = G.triple gen_query Query_zoo.db_gen gen_spill_budget
 
-let parallel_spill_agree (query, db, (domains, spill_budget_rows)) =
+let spill_agrees (query, db, spill_budget_rows) =
   let catalog = Query_zoo.mk_catalog db in
-  let config = { Subql.Eval.default_config with Subql.Eval.domains; spill_budget_rows } in
+  let config = { Subql.Eval.default_config with Subql.Eval.spill_budget_rows } in
   let check name plan =
     let reference = Subql.Eval.eval catalog plan in
     if Relation.equal_as_multiset reference (Subql.Eval.eval ~config catalog plan) then
       true
     else begin
-      Format.eprintf
-        "@.parallel/spill disagreement (%s, %d domains, budget %s) on:@.%a@." name
-        domains
+      Format.eprintf "@.spill disagreement (%s, budget %s) on:@.%a@." name
         (match spill_budget_rows with Some b -> string_of_int b | None -> "none")
         N.pp_query query;
       false
@@ -375,8 +369,8 @@ module C = Subql.Cost
 (* Soundness of the interval abstract interpretation: the per-operator
    output cardinality the instrumented evaluator measures lies inside
    the certified [lo, hi] at every node of the plan — in every execution
-   mode (serial, worker domains, forced 1-row spill budgets, chunked
-   streaming) and again after random appends grow the detail tables
+   mode (in memory, forced 1-row spill budgets, chunked streaming) and
+   again after random appends grow the detail tables
    (with the statistics refreshed from the grown catalog). *)
 let rec contained (iv : C.Interval.tree) (ex : Subql_obs.Explain.node) =
   C.Interval.contains iv.C.Interval.ival
@@ -388,19 +382,16 @@ let gen_containment_case =
   let row2 = G.list_repeat 2 Helpers.Gen.value_with_nulls in
   let* query = gen_query in
   let* db = Query_zoo.db_gen in
-  let* domains = G.int_range 1 4 in
   let* budget = G.oneofl [ None; Some 1; Some 16 ] in
   let* batches =
     G.list_size (G.int_range 0 2) (G.pair G.bool (G.list_size (G.int_range 0 6) row2))
   in
-  G.return (query, db, (domains, budget), batches)
+  G.return (query, db, budget, batches)
 
-let certified_contains_observed (query, db, (domains, spill_budget_rows), batches) =
+let certified_contains_observed (query, db, spill_budget_rows, batches) =
   let catalog = Query_zoo.mk_catalog db in
   let plan = Subql.Optimize.optimize (Subql.Transform.to_algebra query) in
-  let config =
-    { Subql.Eval.default_config with Subql.Eval.domains; spill_budget_rows }
-  in
+  let config = { Subql.Eval.default_config with Subql.Eval.spill_budget_rows } in
   let check_once () =
     let stats = C.Stats.of_catalog catalog in
     let tree = C.intervals stats plan in
@@ -617,7 +608,7 @@ let () =
         [
           Helpers.qtest ~count:400 "all engines agree" gen_case engines_agree;
           Helpers.qtest ~count:150 "parallel/spill modes agree with serial"
-            gen_parallel_case parallel_spill_agree;
+            gen_spill_case spill_agrees;
           Helpers.qtest ~count:400 "sql render/parse round trip" gen_case roundtrip;
         ] );
       ( "maintenance",

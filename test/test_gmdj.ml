@@ -229,62 +229,6 @@ let segmented_prop (brows, drows) =
         (Gmdj.eval_segmented ~segment_size:size ~base ~detail blocks))
     [ 1; 3; 7; max 1 (Relation.cardinality base); Relation.cardinality base + 5 ]
 
-(* Partitioned evaluation must match single-domain evaluation exactly:
-   every aggregate state merges correctly across partitions. *)
-let partitioned_prop (brows, drows) =
-  let base =
-    Relation.of_list
-      (Schema.of_list [ Schema.attr ~rel:"B" "k" Value.Tint; Schema.attr ~rel:"B" "x" Value.Tint ])
-      (List.map Array.of_list brows)
-  in
-  let detail =
-    Relation.of_list
-      (Schema.of_list [ Schema.attr ~rel:"R" "k" Value.Tint; Schema.attr ~rel:"R" "y" Value.Tint ])
-      (List.map Array.of_list drows)
-  in
-  let blocks =
-    [
-      Gmdj.block
-        [
-          Aggregate.count_star "cnt";
-          Aggregate.sum (attr ~rel:"R" "y") "s";
-          Aggregate.min_ (attr ~rel:"R" "y") "mn";
-          Aggregate.max_ (attr ~rel:"R" "y") "mx";
-          Aggregate.avg (attr ~rel:"R" "y") "av";
-          Aggregate.count (attr ~rel:"R" "y") "cy";
-        ]
-        (Expr.eq (attr ~rel:"B" "k") (attr ~rel:"R" "k"));
-      Gmdj.block [ Aggregate.count_star "c2" ] (Expr.lt (attr ~rel:"B" "x") (attr ~rel:"R" "y"));
-    ]
-  in
-  let whole = Gmdj.eval ~base ~detail blocks in
-  List.for_all
-    (fun domains ->
-      Relation.equal_as_multiset whole
-        (Gmdj.eval_partitioned ~domains ~base ~detail blocks))
-    [ 1; 2; 3; 7 ]
-
-let test_partitioned_stats () =
-  let base =
-    Relation.of_list
-      (Schema.of_list [ Schema.attr ~rel:"B" "k" Value.Tint ])
-      (List.init 5 (fun i -> [| Value.Int i |]))
-  in
-  let detail =
-    Relation.of_list
-      (Schema.of_list [ Schema.attr ~rel:"R" "k" Value.Tint ])
-      (List.init 100 (fun i -> [| Value.Int (i mod 5) |]))
-  in
-  let blocks =
-    [ Gmdj.block [ Aggregate.count_star "cnt" ] (Expr.eq (attr ~rel:"B" "k") (attr ~rel:"R" "k")) ]
-  in
-  let stats = Gmdj.fresh_stats () in
-  ignore (Gmdj.eval_partitioned ~stats ~domains:4 ~base ~detail blocks);
-  Alcotest.(check int) "every detail row scanned once" 100 stats.Gmdj.detail_scanned;
-  (match Gmdj.eval_partitioned ~domains:0 ~base ~detail blocks with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "domains 0 must be rejected")
-
 let test_segmented_scan_count () =
   let base =
     Relation.of_list
@@ -585,7 +529,6 @@ let () =
           Helpers.qtest "completion = eval-then-filter" pair_gen completion_prop;
           Helpers.qtest "aggregate-free completion" pair_gen completion_no_aggs_prop;
           Helpers.qtest "segmented = whole" pair_gen segmented_prop;
-          Helpers.qtest ~count:80 "partitioned = whole" pair_gen partitioned_prop;
           Helpers.qtest ~count:120 "maintenance = recompute" pair_gen maintenance_prop;
         ] );
       ( "maintenance",
@@ -605,6 +548,4 @@ let () =
         ] );
       ( "segmented",
         [ Alcotest.test_case "scan count and bounds" `Quick test_segmented_scan_count ] );
-      ( "partitioned",
-        [ Alcotest.test_case "stats and bounds" `Quick test_partitioned_stats ] );
     ]

@@ -65,50 +65,6 @@ let test_histogram_buckets () =
   in
   Alcotest.(check int) "same instrument" 6 s2.Metrics.count
 
-(* --- Per-domain scratch counters ---------------------------------------- *)
-
-let test_scratch_semantics () =
-  let s = Metrics.Scratch.create () in
-  Metrics.Scratch.incr s "a";
-  Metrics.Scratch.incr ~by:4 s "a";
-  Alcotest.(check int) "delta accumulates" 5 (Metrics.Scratch.counter_value s "a");
-  Alcotest.(check int) "unknown name reads 0" 0 (Metrics.Scratch.counter_value s "b");
-  (match Metrics.Scratch.incr ~by:(-1) s "a" with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "negative increment must be rejected");
-  let r = Metrics.create () in
-  Metrics.incr ~by:7 (Metrics.counter r "a");
-  Metrics.Scratch.merge_into r s;
-  Alcotest.(check int) "merge folds into existing counters" 12
-    (Metrics.counter_value_by_name r "a")
-
-(* The headline parallel-safety property: 4 domains hammer their private
-   scratches, the coordinator merges after the joins, and not a single
-   count is lost — while the registry itself only ever saw single-domain
-   writes. *)
-let test_scratch_no_lost_counts_4_domains () =
-  let r = Metrics.create () in
-  let n = 4 and per = 25_000 in
-  let workers =
-    Array.init n (fun i ->
-        Domain.spawn (fun () ->
-            let s = Metrics.Scratch.create () in
-            for _ = 1 to per do
-              Metrics.Scratch.incr s "work.items";
-              Metrics.Scratch.incr ~by:2 s (Printf.sprintf "work.d%d" i)
-            done;
-            s))
-  in
-  Array.iter (fun d -> Metrics.Scratch.merge_into r (Domain.join d)) workers;
-  Alcotest.(check int) "shared series: no count lost" (n * per)
-    (Metrics.counter_value_by_name r "work.items");
-  for i = 0 to n - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "per-domain series d%d complete" i)
-      (2 * per)
-      (Metrics.counter_value_by_name r (Printf.sprintf "work.d%d" i))
-  done
-
 (* --- Trace spans -------------------------------------------------------- *)
 
 let with_tracing f =
@@ -153,47 +109,27 @@ let test_span_nesting () =
   Trace.with_ "ghost" (fun () -> ());
   Alcotest.(check int) "no-op when disabled" 0 (List.length (Trace.roots ()))
 
-(* Trace state is domain-local: workers trace on their own domains
-   (invisible to the coordinator until handed over), [drain_local] takes
-   their completed roots, and [absorb] re-parents them under the
-   coordinator's open span — the exchange join protocol. *)
-let test_trace_domain_local_absorb () =
+(* Trace state is domain-local: a domain spawned while the caller traces
+   starts with tracing off, and spans it opens after enabling its own
+   tracing never reach the caller's roots — what lets the fanned-out
+   [analyze --certify --domains] checker run instrumented code safely. *)
+let test_trace_domain_local () =
   with_tracing (fun () ->
-      let handed =
-        Trace.with_ "coordinator" (fun () ->
-            let workers =
-              Array.init 4 (fun i ->
-                  Domain.spawn (fun () ->
-                      Trace.with_ "invisible" (fun () -> ());
-                      (* The coordinator's set_enabled did not leak here. *)
-                      let leaked = List.length (Trace.roots ()) in
-                      Trace.set_enabled true;
-                      Trace.with_ (Printf.sprintf "worker-%d" i) (fun () ->
-                          Trace.with_ "inner" (fun () -> ()));
-                      (leaked, Trace.drain_local ())))
-            in
-            let spans =
-              Array.to_list workers
-              |> List.concat_map (fun d ->
-                     let leaked, spans = Domain.join d in
-                     Alcotest.(check int) "fresh domain starts disabled" 0 leaked;
-                     spans)
-            in
-            Trace.absorb spans;
-            List.length spans)
-      in
-      Alcotest.(check int) "each worker handed over one root" 4 handed;
-      match Trace.roots () with
-      | [ root ] ->
-        Alcotest.(check string) "coordinator root" "coordinator" root.Trace.name;
-        Alcotest.(check int) "worker spans re-parented under it" 4
-          (List.length root.Trace.children);
-        List.iter
-          (fun c ->
-            Alcotest.(check int) "worker structure preserved" 1
-              (List.length c.Trace.children))
-          root.Trace.children
-      | roots -> Alcotest.failf "expected 1 root, got %d" (List.length roots))
+      Trace.with_ "caller" (fun () ->
+          let enabled_there, roots_there =
+            Domain.join
+              (Domain.spawn (fun () ->
+                   let enabled = Trace.enabled () in
+                   Trace.set_enabled true;
+                   Trace.with_ "other" (fun () -> ());
+                   (enabled, List.length (Trace.roots ()))))
+          in
+          Alcotest.(check bool) "a new domain starts with tracing off" false enabled_there;
+          Alcotest.(check int) "its spans stay on its own domain" 1 roots_there);
+      Alcotest.(check (list string)) "caller sees only its own spans" [ "caller" ]
+        (List.map (fun s -> s.Trace.name) (Trace.roots ()));
+      Alcotest.(check int) "no span re-parented under the caller" 0
+        (List.length (List.hd (Trace.roots ())).Trace.children))
 
 (* --- A minimal strict JSON reader (the image has no JSON library; this
    is only what validating the exporter needs). ------------------------- *)
@@ -465,16 +401,13 @@ let () =
         [
           Alcotest.test_case "counters and gauges" `Quick test_counters_gauges;
           Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
-          Alcotest.test_case "scratch delta semantics" `Quick test_scratch_semantics;
-          Alcotest.test_case "scratch: no lost counts over 4 domains" `Quick
-            test_scratch_no_lost_counts_4_domains;
         ] );
       ( "trace",
         [
           Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
           Alcotest.test_case "chrome export well-formed" `Quick test_chrome_export;
-          Alcotest.test_case "domain-local spans absorb at join" `Quick
-            test_trace_domain_local_absorb;
+          Alcotest.test_case "spans stay on their own domain" `Quick
+            test_trace_domain_local;
         ] );
       ( "explain-analyze",
         [
